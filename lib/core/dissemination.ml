@@ -86,9 +86,27 @@ module Collector = struct
 
   let create keyring ~n ~f = { keyring; n; f; proposals = Hashtbl.create 16 }
 
+  (* A proposer re-sends the same PROPOSAL every view until it learns a
+     new document.  One equal to the held one (same digests and tags,
+     so the same bytes) was verified when it was first held; anything
+     else takes the full check. *)
+  let same_entry (a : entry) (b : entry) =
+    Option.equal Digest32.equal a.digest b.digest
+    && Option.equal Signature.equal a.sender_sig b.sender_sig
+    && Signature.equal a.proposer_sig b.proposer_sig
+
   let add t p =
-    if proposal_valid t.keyring ~n:t.n ~f:t.f p then
+    let repeat =
+      match Hashtbl.find_opt t.proposals p.proposer with
+      | Some held ->
+          Array.length held.entries = Array.length p.entries
+          && Array.for_all2 same_entry held.entries p.entries
+      | None -> false
+    in
+    if (not repeat) && proposal_valid t.keyring ~n:t.n ~f:t.f p then
       Hashtbl.replace t.proposals p.proposer p
+
+  let held t proposer = Hashtbl.find_opt t.proposals proposer
 
   let count t = Hashtbl.length t.proposals
 

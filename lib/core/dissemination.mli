@@ -63,7 +63,12 @@ module Collector : sig
 
   val add : t -> proposal -> unit
   (** Record a (valid) proposal; invalid ones are ignored, a proposer's
-      later proposal replaces its earlier one. *)
+      later proposal replaces its earlier one.  A proposal equal to the
+      one held from its proposer (same digests, same signatures) is
+      skipped without re-verifying; any other is checked in full. *)
+
+  val held : t -> int -> proposal option
+  (** [held t proposer] is the proposal recorded from [proposer]. *)
 
   val count : t -> int
 

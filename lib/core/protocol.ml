@@ -58,6 +58,8 @@ type node = {
   doc_sigs : Signature.t option array;         (* the sender's digest signature *)
   mutable doc_deadline_passed : bool;
   mutable proposal_sent_view : int;            (* last view we sent a PROPOSAL for *)
+  mutable last_proposal : (int * Dissemination.proposal) option;
+      (* the PROPOSAL built from the [docs_held] documents held then *)
   collector : Dissemination.Collector.t;       (* leader-side accumulation *)
   (* agreement *)
   mutable hotstuff : Dissemination.value A.t option;
@@ -106,6 +108,7 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
           doc_sigs = Array.make n None;
           doc_deadline_passed = false;
           proposal_sent_view = -1;
+          last_proposal = None;
           collector = Dissemination.Collector.create env.keyring ~n ~f;
           hotstuff = None;
           decided_vector = None;
@@ -130,14 +133,24 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
       (* First proposal = enough documents collected; idempotent on the
          re-proposals of later views. *)
       Runenv.Telemetry.phase_end tel ~node:node.id "dissemination";
-      let digests =
-        Array.init n (fun j ->
-            match (node.docs.(j), node.doc_sigs.(j)) with
-            | Some doc, Some s -> Some (Dirdoc.Vote.digest doc, s)
-            | _ -> None)
-      in
+      (* [docs] only ever gains entries, so the count held names the
+         content, and signing is deterministic: an unchanged count
+         means the last PROPOSAL is byte-for-byte the one we would
+         build, without re-signing n entries. *)
+      let held = docs_held node in
       let proposal =
-        Dissemination.make_proposal env.keyring ~proposer:node.id ~digests
+        match node.last_proposal with
+        | Some (count, p) when count = held -> p
+        | _ ->
+            let digests =
+              Array.init n (fun j ->
+                  match (node.docs.(j), node.doc_sigs.(j)) with
+                  | Some doc, Some s -> Some (Dirdoc.Vote.digest doc, s)
+                  | _ -> None)
+            in
+            let p = Dissemination.make_proposal env.keyring ~proposer:node.id ~digests in
+            node.last_proposal <- Some (held, p);
+            p
       in
       let leader = A.leader ~n ~view in
       send ~src:node.id ~dst:leader ~label:lbl_proposal (Proposal proposal)

@@ -4,10 +4,22 @@
     simulated signature scheme ({!Signature}).  Validated against the
     RFC 4231 test vectors in the test suite. *)
 
-val mac : key:string -> string -> string
-(** [mac ~key msg] is the 32-byte raw HMAC-SHA256 of [msg] under [key].
+type key
+(** A key with its two pad blocks already compressed.  Immutable, so
+    one value can be shared across domains. *)
+
+val prepare : string -> key
+(** [prepare secret] compresses [secret]'s inner and outer pad blocks.
     Keys longer than the 64-byte block size are hashed first, per the
     RFC. *)
+
+val mac_with : key -> string -> string
+(** [mac_with k msg] is the 32-byte raw HMAC-SHA256 of [msg] under the
+    prepared key [k]; a message of up to 55 bytes costs two SHA-256
+    compressions. *)
+
+val mac : key:string -> string -> string
+(** [mac ~key msg] is [mac_with (prepare key) msg]. *)
 
 val mac_hex : key:string -> string -> string
 (** [mac_hex ~key msg] is [mac] rendered as lowercase hex. *)

@@ -21,6 +21,11 @@ val secret : t -> int -> string
 (** [secret t id] is the secret key of node [id].
     Raises [Invalid_argument] if [id] is out of range. *)
 
+val hmac_key : t -> int -> Hmac.key
+(** [hmac_key t id] is [secret t id] prepared once at {!create}, so
+    signing and verifying skip the key's pad blocks.
+    Raises [Invalid_argument] if [id] is out of range. *)
+
 val fingerprint : t -> int -> string
 (** [fingerprint t id] is a 40-char uppercase hex identity fingerprint
     for node [id], in the style of Tor authority fingerprints. *)

@@ -53,6 +53,20 @@ let init () =
   reset ctx;
   ctx
 
+(* A saved chaining state: the eight words plus the byte count they
+   cover.  Only taken at a block boundary, so the input buffer holds
+   nothing and resuming is an 8-word copy. *)
+type midstate = { words : int array; bytes : int }
+
+let midstate ctx =
+  if ctx.fill <> 0 then invalid_arg "Sha256.midstate: not at a block boundary";
+  { words = Array.copy ctx.h; bytes = ctx.total }
+
+let resume ctx m =
+  Array.blit m.words 0 ctx.h 0 8;
+  ctx.fill <- 0;
+  ctx.total <- m.bytes
+
 (* Compress the 64-byte block at [b.(off)..].  Rotations are written
    out by hand (the classic compiler does not reliably inline through a
    helper); Ch and Maj use the 3/4-op forms

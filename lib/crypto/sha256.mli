@@ -21,6 +21,19 @@ val reset : ctx -> unit
 (** [reset ctx] returns the context to the empty-message state, so one
     allocation can serve many digests (e.g. both HMAC passes). *)
 
+type midstate
+(** An immutable copy of a context's chaining state, taken after a
+    whole number of 64-byte blocks.  HMAC keeps one per key pad, so the
+    pad block is compressed once per key instead of once per MAC. *)
+
+val midstate : ctx -> midstate
+(** [midstate ctx] saves the state of [ctx].  Raises [Invalid_argument]
+    unless [ctx] has absorbed a whole number of blocks. *)
+
+val resume : ctx -> midstate -> unit
+(** [resume ctx m] puts [ctx] in the saved state, as if it had just
+    absorbed the same blocks again; it is fed and finalized as usual. *)
+
 val feed_bytes : ctx -> bytes -> pos:int -> len:int -> unit
 (** [feed_bytes ctx b ~pos ~len] absorbs [len] bytes of [b] starting at
     [pos].  Raises [Invalid_argument] if the range is out of bounds. *)

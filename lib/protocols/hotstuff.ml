@@ -52,10 +52,12 @@ type 'v t = {
   mutable carry : ('v * qc) option; (* value the view's leader must re-propose *)
   mutable decided : 'v option;
   mutable decided_qc : qc option;
+  mutable timeout_sig : Signature.t option; (* ours for [view], signed once *)
   proposals : (int, 'v) Hashtbl.t; (* view -> proposal value seen *)
   votes1 : (int, (int, Signature.t) Hashtbl.t) Hashtbl.t; (* view -> signer -> sig *)
   votes2 : (int, (int, Signature.t) Hashtbl.t) Hashtbl.t;
-  timeouts : (int, (int, qc option * 'v option) Hashtbl.t) Hashtbl.t;
+  timeouts : (int, (int, qc option * 'v option * Signature.t) Hashtbl.t) Hashtbl.t;
+      (* view -> signer -> (high_qc, value, its verified timeout signature) *)
 }
 
 let quorum ~n = n - ((n - 1) / 3)
@@ -82,6 +84,7 @@ let create ~keyring ~n ~id ?(view_timeout = 5.) cb =
     carry = None;
     decided = None;
     decided_qc = None;
+    timeout_sig = None;
     proposals = Hashtbl.create 16;
     votes1 = Hashtbl.create 16;
     votes2 = Hashtbl.create 16;
@@ -146,6 +149,7 @@ let update_high_qc t (qc : qc) value =
 let rec enter_view t view =
   if view > t.view && t.decided = None then begin
     t.view <- view;
+    t.timeout_sig <- None;
     Option.iter t.cb.cancel t.timer;
     t.timer <- Some (t.cb.schedule t.view_timeout (fun () -> on_timer t));
     t.cb.log (Printf.sprintf "entering view %d (leader %d)" view (leader_of t view));
@@ -175,10 +179,18 @@ and try_propose t =
 and on_timer t =
   if t.decided = None then begin
     (* Re-broadcast the timeout for the current view and keep the timer
-       running; receivers de-duplicate by signer. *)
+       running; receivers de-duplicate by signer.  The view's signature
+       is made on the first expiry and re-sent on the later ones. *)
     if t.view >= 0 then begin
       let signature =
-        Signature.sign t.keyring ~signer:t.id (timeout_payload ~view:t.view)
+        match t.timeout_sig with
+        | Some signature -> signature
+        | None ->
+            let signature =
+              Signature.sign t.keyring ~signer:t.id (timeout_payload ~view:t.view)
+            in
+            t.timeout_sig <- Some signature;
+            signature
       in
       broadcast t
         (Timeout { view = t.view; high_qc = t.high_qc; value = t.high_value; signature })
@@ -294,8 +306,22 @@ let on_commit t ~qc ~value =
     && t.cb.validate value
   then decide_once t ~view:qc.view value qc
 
+(* A rebroadcast timeout carries the tag this node already verified
+   for (view, src) — HMAC signing is deterministic — so only a tag that
+   differs from the recorded one is checked again. *)
+let timeout_verified t ~src ~view signature =
+  match Hashtbl.find_opt t.timeouts view with
+  | None -> false
+  | Some per_view -> (
+      match Hashtbl.find_opt per_view src with
+      | Some (_, _, recorded) -> Signature.equal recorded signature
+      | None -> false)
+
 let on_timeout t ~src ~view ~high_qc ~value ~signature =
-  if Signature.verify t.keyring signature (timeout_payload ~view) && signature.Signature.signer = src
+  if
+    signature.Signature.signer = src
+    && (timeout_verified t ~src ~view signature
+       || Signature.verify t.keyring signature (timeout_payload ~view))
   then begin
     (match t.decided with
     | Some decided_value ->
@@ -316,7 +342,7 @@ let on_timeout t ~src ~view ~high_qc ~value ~signature =
               h
         in
         if not (Hashtbl.mem per_view src) then begin
-          Hashtbl.replace per_view src (high_qc, value);
+          Hashtbl.replace per_view src (high_qc, value, signature);
           (* Adopt higher views so the pacemaker converges after GST. *)
           if view > t.view then enter_view t view;
           if Hashtbl.length per_view >= t.quorum && view >= t.view then begin
@@ -324,7 +350,7 @@ let on_timeout t ~src ~view ~high_qc ~value ~signature =
                value for the next leader to re-propose. *)
             let best =
               Hashtbl.fold
-                (fun _ (qc, v) acc ->
+                (fun _ (qc, v, _) acc ->
                   match (qc, v) with
                   | Some (qc : qc), Some v when qc.phase = One && qc_valid t qc -> (
                       match acc with

@@ -48,8 +48,8 @@ let store t ~now ~digest signature =
   match t.consensus with
   | Some c
     when Crypto.Digest32.equal digest (Dirdoc.Consensus.digest c)
-         && Signature.verify t.keyring signature (Dirdoc.Consensus.signing_payload c)
-         && not (Hashtbl.mem t.sigs signature.Signature.signer) ->
+         && (not (Hashtbl.mem t.sigs signature.Signature.signer))
+         && Signature.verify t.keyring signature (Dirdoc.Consensus.signing_payload c) ->
       Hashtbl.replace t.sigs signature.Signature.signer signature;
       check_decided t ~now
   | _ -> ()

@@ -147,6 +147,127 @@ let test_value_digest_binding () =
       checkb "wire size positive" true (D.value_wire_size a > 0)
   | _ -> Alcotest.fail "both should build"
 
+(* A proposer re-sends an unchanged PROPOSAL every view; the collector
+   skips re-verifying one equal to what it holds.  The replay must not
+   replace the held proposal, and a replay that differs in one tag
+   must get the full check and be turned away. *)
+let test_collector_replay () =
+  let collector = D.Collector.create keyring ~n ~f in
+  let original = proposal_from 3 ~missing:[ 8 ] in
+  D.Collector.add collector original;
+  let held () = D.Collector.held collector 3 in
+  checkb "held" true (match held () with Some p -> p == original | None -> false);
+  let copy = { original with D.entries = Array.map Fun.id original.D.entries } in
+  D.Collector.add collector copy;
+  checkb "identical replay leaves the held proposal" true
+    (match held () with Some p -> p == original | None -> false);
+  let forged = { original with D.entries = Array.copy original.D.entries } in
+  let e = forged.D.entries.(4) in
+  forged.D.entries.(4) <-
+    { e with D.proposer_sig = { e.D.proposer_sig with Crypto.Signature.tag = String.make 32 'x' } };
+  checkb "forged replay is invalid" false (D.proposal_valid keyring ~n ~f forged);
+  D.Collector.add collector forged;
+  checkb "forged replay rejected, held proposal stays" true
+    (match held () with Some p -> p == original | None -> false);
+  let forged_sender = { original with D.entries = Array.copy original.D.entries } in
+  let e = forged_sender.D.entries.(0) in
+  forged_sender.D.entries.(0) <-
+    { e with
+      D.sender_sig =
+        Some (Crypto.Signature.forge ~signer:0 (D.doc_payload ~sender:0 e.D.digest)) };
+  D.Collector.add collector forged_sender;
+  checkb "forged sender tag rejected" true
+    (match held () with Some p -> p == original | None -> false);
+  (* A changed, valid proposal still replaces the held one. *)
+  let updated = proposal_from 3 ~missing:[] in
+  D.Collector.add collector updated;
+  checkb "updated proposal replaces" true
+    (match held () with Some p -> p == updated | None -> false);
+  checki "one proposer held" 1 (D.Collector.count collector)
+
+(* An agreement engine that never decides: it enters a view every 10 s
+   and, half-way through each view it leads, records the digest of the
+   value its collector would build from the PROPOSALs received.  Over
+   it, a test sees what each leader was sent. *)
+module Watch = struct
+  let name = "watch"
+
+  type 'v msg = unit
+
+  type 'v callbacks = {
+    now : unit -> Tor_sim.Simtime.t;
+    schedule : Tor_sim.Simtime.t -> (unit -> unit) -> Tor_sim.Engine.handle;
+    cancel : Tor_sim.Engine.handle -> unit;
+    send : dst:int -> 'v msg -> unit;
+    validate : 'v -> bool;
+    value_digest : 'v -> Crypto.Digest32.t;
+    proposal : unit -> 'v option;
+    decide : view:int -> 'v -> unit;
+    on_view : view:int -> unit;
+    log : string -> unit;
+  }
+
+  type 'v t = { size : int; me : int; cb : 'v callbacks; mutable view : int }
+
+  let built : (int * Crypto.Digest32.t option) list ref = ref []
+  let leader ~n ~view = view mod n
+  let create ~keyring:_ ~n ~id ?view_timeout:_ cb = { size = n; me = id; cb; view = -1 }
+
+  let rec enter t view =
+    t.view <- view;
+    t.cb.on_view ~view;
+    if leader ~n:t.size ~view = t.me then
+      ignore
+        (t.cb.schedule 5. (fun () ->
+             built := (view, Option.map t.cb.value_digest (t.cb.proposal ())) :: !built));
+    ignore (t.cb.schedule 10. (fun () -> enter t (view + 1)))
+
+  let start t = enter t 0
+  let handle _ ~src:_ () = ()
+  let notify_ready _ = ()
+  let decided _ = None
+  let current_view t = t.view
+  let msg_size ~value_size:_ () = 0
+end
+
+module Over_watch = Protocol.Make (Watch)
+
+(* Node 8 is down until 200 s, so from the 150 s document deadline the
+   others propose with 8 documents; node 8's document lands just after
+   200 s.  A proposer must notice the new document and send the
+   9-entry PROPOSAL at the next view (21, led by node 3), not keep
+   re-sending the one it built first. *)
+let test_proposal_follows_new_document () =
+  let env =
+    R.of_spec
+      {
+        R.Spec.default with
+        n_relays = 200;
+        horizon = 300.;
+        behaviors = Some (behaviors_with [ (8, R.Crashed { start = 0.; stop = 200. }) ]);
+      }
+  in
+  Watch.built := [];
+  ignore (Over_watch.run env);
+  let vector_digest ~upto =
+    D.value_digest
+      {
+        D.vector =
+          Array.init n (fun j ->
+              if j < upto then Some (Dirdoc.Vote.digest env.R.votes.(j)) else None);
+        proofs = [||];
+      }
+  in
+  let at view =
+    match List.assoc_opt view !Watch.built with
+    | Some (Some d) -> d
+    | Some None | None -> Alcotest.failf "leader of view %d built nothing" view
+  in
+  checkb "view 19: eight documents" true (Crypto.Digest32.equal (at 19) (vector_digest ~upto:8));
+  checkb "view 20: still eight" true (Crypto.Digest32.equal (at 20) (vector_digest ~upto:8));
+  checkb "view 21: node 8's document proposed" true
+    (Crypto.Digest32.equal (at 21) (vector_digest ~upto:9))
+
 (* --- Full protocol --------------------------------------------------------------- *)
 
 let test_protocol_happy_gst_zero () =
@@ -656,4 +777,7 @@ let suite =
     ("distribution: steady-state diff savings >= 5x", `Slow,
       test_distribution_steady_state_savings);
     ("distribution: skipped on failed runs", `Slow, test_distribution_skipped_on_failure);
+    ("dissemination collector replay", `Quick, test_collector_replay);
+    ("dissemination proposal follows a new document", `Quick,
+      test_proposal_follows_new_document);
   ]

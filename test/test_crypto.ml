@@ -182,6 +182,60 @@ let test_hmac_equal () =
   checkb "different key" false (Hmac.equal a (Hmac.mac ~key:"k'" "m"));
   checkb "different length" false (Hmac.equal a "short")
 
+(* RFC 2104 written out with whole-string operations only: pad the
+   (pre-hashed if long) key to the block, XOR with ipad/opad, two
+   one-shot digests.  Shares nothing with [Hmac] but [Sha256]. *)
+let reference_hmac ~key msg =
+  let key = if String.length key > 64 then Sha256.digest_string key else key in
+  let key = key ^ String.make (64 - String.length key) '\x00' in
+  let pad x = String.map (fun c -> Char.chr (Char.code c lxor x)) key in
+  Sha256.digest_string (pad 0x5c ^ Sha256.digest_string (pad 0x36 ^ msg))
+
+let qcheck_hmac_reference =
+  QCheck.Test.make ~name:"hmac = RFC 2104 reference" ~count:300
+    QCheck.(pair (string_of_size (Gen.int_range 0 131)) (string_of_size (Gen.int_range 0 300)))
+    (fun (key, msg) ->
+      String.equal (Hmac.mac ~key msg) (reference_hmac ~key msg)
+      && String.equal (Hmac.mac_with (Hmac.prepare key) msg) (reference_hmac ~key msg))
+
+(* The prepared keys inside a keyring must give the same tags as the
+   reference over the raw secrets, and the secrets themselves are
+   HMAC-derived from the seed. *)
+let qcheck_signature_reference =
+  QCheck.Test.make ~name:"signature tags = RFC 2104 reference" ~count:100
+    QCheck.(
+      triple (string_of_size (Gen.int_range 0 131)) (int_range 0 3)
+        (string_of_size (Gen.int_range 0 300)))
+    (fun (seed, signer, msg) ->
+      let ring = Keyring.create ~seed ~n:4 () in
+      let secret = Keyring.secret ring signer in
+      let tag = reference_hmac ~key:secret ("sig\x00" ^ msg) in
+      let s = Signature.sign ring ~signer msg in
+      String.equal secret
+        (reference_hmac ~key:seed (Printf.sprintf "node-secret-%d" signer))
+      && String.equal s.Signature.tag tag
+      && Signature.verify ring { Signature.signer; tag } msg
+      && not (Signature.verify ring { Signature.signer; tag = reference_hmac ~key:secret msg } msg))
+
+let test_midstate_bounds () =
+  let ctx = Sha256.init () in
+  Sha256.feed_string ctx "abc";
+  Alcotest.check_raises "mid-block" (Invalid_argument "Sha256.midstate: not at a block boundary")
+    (fun () -> ignore (Sha256.midstate ctx));
+  (* A state saved after one block resumes into the same digest. *)
+  let block = String.make 64 'x' in
+  let ctx = Sha256.init () in
+  Sha256.feed_string ctx block;
+  let m = Sha256.midstate ctx in
+  Sha256.feed_string ctx "tail";
+  let direct = Sha256.finalize ctx in
+  let other = Sha256.init () in
+  Sha256.feed_string other "unrelated";
+  Sha256.resume other m;
+  Sha256.feed_string other "tail";
+  check str "resumed" (Sha256.hex_of_raw direct) (Sha256.hex_of_raw (Sha256.finalize other));
+  check str "= one-shot" (Sha256.digest_hex (block ^ "tail")) (Sha256.hex_of_raw direct)
+
 (* --- Digest32 -------------------------------------------------------------- *)
 
 let test_digest32 () =
@@ -293,6 +347,9 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_sink_fixed;
     ("hmac RFC 4231", `Quick, test_hmac_rfc4231);
     ("hmac constant-time equal", `Quick, test_hmac_equal);
+    QCheck_alcotest.to_alcotest qcheck_hmac_reference;
+    QCheck_alcotest.to_alcotest qcheck_signature_reference;
+    ("sha256 midstate resume", `Quick, test_midstate_bounds);
     ("digest32", `Quick, test_digest32);
     ("keyring", `Quick, test_keyring);
     ("signature scheme", `Quick, test_signature);

@@ -321,6 +321,34 @@ let test_defended_arena_reuse () =
   in
   Alcotest.(check bool) "defended: reused arena == fresh" true (reused = fresh)
 
+(* One stalled defended run (chaos plan 0 of seed "chaos" at 200
+   relays under both defenses: ours never decides, stuck in
+   agreement), pinned to the traffic it produced before repeated
+   signing and verifying were cut out.  A sign or verify skipped
+   because its bytes were already signed or checked must change no
+   simulated message. *)
+let test_stalled_defended_traffic_pin () =
+  let config =
+    {
+      Exec.Chaos.default_config with
+      Exec.Chaos.seed = "chaos";
+      n_relays = 200;
+      defense = Some Defense.Plan.both;
+    }
+  in
+  let env = { (R.of_spec (Exec.Chaos.sample_spec config ~index:0)) with R.telemetry = true } in
+  let r = E.run E.Ours env in
+  let sent = ref 0 in
+  for i = 0 to Stats.n r.result.stats - 1 do
+    sent := !sent + Stats.messages_sent r.result.stats i
+  done;
+  Alcotest.(check bool) "stalled" false r.success;
+  Alcotest.(check (option string)) "stalled phase" (Some "agreement") (R.stalled_phase env r);
+  Alcotest.(check int) "messages" 86099 !sent;
+  Alcotest.(check int) "bytes" 43470872 r.total_bytes;
+  Alcotest.(check int) "rejected" 21015 r.rejected;
+  Alcotest.(check int) "dropped" 2076 r.dropped
+
 let suite =
   [
     ("admission: burst exactly at capacity", `Quick, test_admission_burst_at_capacity);
@@ -338,4 +366,5 @@ let suite =
     ("e2e: defended run rejects, undefended does not", `Quick, test_defended_run_rejects);
     ("e2e: defended run bit-identical across shards", `Quick, test_defended_sharding_invariant);
     ("e2e: defended arena reuse bit-identical", `Quick, test_defended_arena_reuse);
+    ("e2e: stalled defended run traffic pin", `Quick, test_stalled_defended_traffic_pin);
   ]

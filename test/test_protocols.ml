@@ -249,6 +249,75 @@ let test_hotstuff_quorum () =
   checki "n=13" 9 (HS.quorum ~n:13);
   checki "leader rotation" 2 (HS.leader ~n:9 ~view:11)
 
+(* Timeouts are re-broadcast with the same tag every view timeout, and
+   a node re-checks a tag only when it differs from the one it recorded
+   for that (view, signer).  Four nodes, leader 0 silent: view 0 times
+   out, node 1 records node 2's timeout and then decides in view 1.  A
+   replay of that exact timeout is still served (a decided node answers
+   with its commit certificate); the same timeout with a forged tag is
+   not. *)
+let test_hotstuff_timeout_replay () =
+  let n = 4 in
+  let keyring = Crypto.Keyring.create ~n () in
+  let engine = Sim.Engine.create () in
+  let sent = ref [] in
+  let nodes = Array.make n None in
+  for id = 0 to n - 1 do
+    let cb =
+      {
+        HS.now = (fun () -> Sim.Engine.now engine);
+        schedule = (fun d f -> Sim.Engine.schedule_in engine ~after:d f);
+        cancel = (fun h -> Sim.Engine.cancel engine h);
+        send =
+          (fun ~dst m ->
+            sent := (id, dst, m) :: !sent;
+            ignore
+              (Sim.Engine.schedule_in engine ~after:0.01 (fun () ->
+                   match nodes.(dst) with
+                   | Some node when dst <> 0 -> HS.handle node ~src:id m
+                   | _ -> ())));
+        validate = (fun _ -> true);
+        value_digest = (fun s -> Crypto.Digest32.of_string s);
+        proposal = (fun () -> Some (Printf.sprintf "value-from-%d" id));
+        decide = (fun ~view:_ _ -> ());
+        on_view = (fun ~view:_ -> ());
+        log = (fun _ -> ());
+      }
+    in
+    let node = HS.create ~keyring ~n ~id cb in
+    nodes.(id) <- Some node;
+    if id <> 0 then ignore (Sim.Engine.schedule engine ~at:0. (fun () -> HS.start node))
+  done;
+  Sim.Engine.run ~until:60. engine;
+  let node1 = Option.get nodes.(1) in
+  checkb "node 1 decided" true (HS.decided node1 <> None);
+  let view, high_qc, value, signature =
+    match
+      List.find_map
+        (function
+          | 2, 1, HS.Timeout { view = 0; high_qc; value; signature } ->
+              Some (0, high_qc, value, signature)
+          | _ -> None)
+        !sent
+    with
+    | Some t -> t
+    | None -> Alcotest.fail "node 2 sent no view-0 timeout to node 1"
+  in
+  let answers timeout =
+    sent := [];
+    HS.handle node1 ~src:2 timeout;
+    List.exists (function 1, 2, HS.Commit _ -> true | _ -> false) !sent
+  in
+  checkb "recorded tag replayed: answered" true
+    (answers (HS.Timeout { view; high_qc; value; signature }));
+  let forged = { signature with Crypto.Signature.tag = String.make 32 '\x00' } in
+  checkb "forged tag from the recorded signer: ignored" false
+    (answers (HS.Timeout { view; high_qc; value; signature = forged }));
+  checkb "recorded tag claimed by another sender: ignored" false
+    (sent := [];
+     HS.handle node1 ~src:3 (HS.Timeout { view; high_qc; value; signature });
+     !sent <> [])
+
 let qcheck_hotstuff_agreement_under_faults =
   QCheck.Test.make ~name:"hotstuff agreement under random silent sets" ~count:15
     QCheck.(pair (int_bound 2) (int_bound 10000))
@@ -612,6 +681,7 @@ let suite =
     ("hotstuff: GST recovery", `Quick, test_hotstuff_gst_recovery);
     ("hotstuff: external validity", `Quick, test_hotstuff_external_validity);
     ("hotstuff: quorum arithmetic", `Quick, test_hotstuff_quorum);
+    ("hotstuff: timeout replay and forged tag", `Quick, test_hotstuff_timeout_replay);
     QCheck_alcotest.to_alcotest qcheck_hotstuff_agreement_under_faults;
     ("dolev-strong: honest sender", `Quick, test_ds_honest_sender);
     ("dolev-strong: echo propagation", `Quick, test_ds_partial_round1_delivery);
